@@ -12,8 +12,10 @@ Mid-run, a perturbed artifact is **hot-swapped** in while the clients
 keep hammering; the report proves the swap completed with zero dropped
 and zero errored queries — the serving layer's equivalent of the chaos
 drill. After the link-probability load drains, a second phase drives
-coalesced ``recommend_edges`` traffic (each request scores N-1 candidate
-pairs through one kernel call per server micro-batch) and reports
+coalesced ``recommend_edges`` traffic (each request scores its node
+against every row with broadcast kernel calls, then ranks the N-1
+candidates; a server micro-batch runs its requests through one
+``recommend_edges_batch``) and reports
 candidate-pairs/sec next to the link-probability numbers.
 
 A third **storage phase** (schema v4) measures what the out-of-core
@@ -243,9 +245,10 @@ def _recommend_phase(server, w: ServeWorkload, seed: int) -> dict[str, Any]:
     """Coalesced recommend_edges throughput over distinct (uncached) nodes.
 
     Every request scores ``n_vertices - 1`` candidate pairs; the server
-    batches concurrent requests into ONE ``link_probability`` kernel call
-    per micro-batch (``QueryEngine.recommend_edges_batch``), which is
-    what this phase measures. Requests use distinct nodes so the LRU
+    hands each micro-batch of concurrent requests to one
+    ``QueryEngine.recommend_edges_batch`` call (broadcast
+    ``link_probability`` kernel calls per request, no row gather), which
+    is what this phase measures. Requests use distinct nodes so the LRU
     cache cannot answer any of them.
     """
     from repro.serve.server import ServerOverloaded

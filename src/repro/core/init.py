@@ -109,11 +109,15 @@ def init_state_informed(
 
     # 2. Damped label propagation with clamped seeds (semi-supervised
     # label-prop style: the sources never wash out).
+    # Neighbor means are one sparse product per round; an isolated
+    # vertex has no neighbors and keeps its own row.
+    adjacency = _adjacency(graph)
+    deg = graph.degrees
+    isolated = deg == 0
+    deg = np.maximum(deg, 1).astype(np.float64)[:, None]
     for _ in range(smoothing_rounds):
-        nbr_avg = np.empty_like(pi)
-        for v in range(n):
-            nbrs = graph.neighbors(v)
-            nbr_avg[v] = pi[nbrs].mean(axis=0) if nbrs.size else pi[v]
+        nbr_avg = (adjacency @ pi) / deg
+        nbr_avg[isolated] = pi[isolated]
         pi = (1.0 - damping) * pi + damping * nbr_avg
         pi[seeds] = onehot
         pi /= pi.sum(axis=1, keepdims=True)
@@ -135,16 +139,22 @@ def init_state_informed(
     return state
 
 
-def _adjacency_matvec(graph: Graph, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``A @ x`` over the graph's CSR arrays for an (N, k) block ``x``.
+def _adjacency(graph: Graph):
+    """The graph's 0/1 adjacency as a float64 CSR matrix over its own arrays.
 
-    ``rows`` is the precomputed row id of every CSR entry (both edge
-    directions), so one scatter-add per call replaces a sparse-matrix
-    dependency.
+    ``A @ x`` sums each row's neighbor rows in CSR (sorted neighbor)
+    order, the same order as a per-vertex ``x[neighbors].sum(axis=0)``.
+    scipy is imported here, not at module level: ``scipy.sparse`` adds
+    about 18 MB RSS to every process that imports :mod:`repro.core`, and
+    only the initializers need it.
     """
-    out = np.zeros_like(x)
-    np.add.at(out, rows, x[graph._csr_indices])
-    return out
+    from scipy import sparse
+
+    n = graph.n_vertices
+    indices = graph._csr_indices
+    return sparse.csr_matrix(
+        (np.ones(indices.size), indices, graph._csr_indptr), shape=(n, n)
+    )
 
 
 def spectral_memberships(
@@ -177,15 +187,11 @@ def spectral_memberships(
         raise ValueError(f"need more than {k} vertices and at least one edge")
     rng = rng or np.random.default_rng(0)
     inv_sqrt_deg = 1.0 / np.sqrt(np.maximum(graph.degrees, 1).astype(np.float64))
-    rows = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(graph._csr_indptr)
-    )
+    adjacency = _adjacency(graph)
     x = rng.standard_normal((n, k))
     x, _ = np.linalg.qr(x)
     for _ in range(power_iterations):
-        y = inv_sqrt_deg[:, None] * _adjacency_matvec(
-            graph, inv_sqrt_deg[:, None] * x, rows
-        )
+        y = inv_sqrt_deg[:, None] * (adjacency @ (inv_sqrt_deg[:, None] * x))
         x, _ = np.linalg.qr(y + x)  # + x: the identity shift
     v = x  # (N, k) orthonormal basis of the leading eigenspace
 

@@ -34,6 +34,11 @@ from repro.serve.artifact import ModelArtifact
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.faults import ServeFaultPlan
 
+#: Bytes of ``pi`` rows one recommend kernel call scores. The kernel's
+#: (rows, K) scratch stays this small at any N: an (N, K) buffer freed
+#: on a server thread stays resident in that thread's malloc arena.
+_SCORE_BLOCK_BYTES = 1 << 20
+
 
 class QueryEngine:
     """Answers model queries from an immutable :class:`ModelArtifact`.
@@ -46,8 +51,8 @@ class QueryEngine:
             apply at this layer.
         provider: array provider (name or instance from
             :mod:`repro.store`) routing the engine's *large scratch*
-            allocations — currently the concatenated recommend-edges
-            score buffer, which can reach O(N) floats per batch.
+            allocations — currently the recommend-edges score buffer,
+            N floats per query in a batch.
             ``None`` (default) follows ``$REPRO_ARRAY_PROVIDER`` and
             falls back to resident heap scratch; ``"mmap"`` puts the
             buffer in unlinked file-backed memory the kernel can swap.
@@ -169,20 +174,16 @@ class QueryEngine:
 
     # -- recommendation -------------------------------------------------------
 
-    #: Memory guard for the concatenated candidate gather: one kernel
-    #: call per batch up to this many pairs, chunked beyond it.
-    MAX_PAIRS_PER_CALL = 1 << 20
-
     def recommend_edges(
         self, node: int, top_n: int = 10, exclude: np.ndarray | None = None
     ) -> list[tuple[int, float]]:
         """The ``top_n`` nodes most likely linked to ``node``.
 
-        Gathers the candidate rows (everything but the node itself and
-        the ``exclude`` ids) into one (src, dst) pair array and scores it
-        with a single ``link_probability`` kernel call — bit-identical to
-        per-pair scoring. The micro-batch server coalesces many of these
-        through :meth:`recommend_edges_batch`.
+        Scores ``node`` against every row with broadcast
+        ``link_probability`` kernel calls, then ranks the candidates
+        (everything but the node itself and the ``exclude`` ids) —
+        bit-identical to per-pair scoring. The micro-batch server
+        coalesces many of these through :meth:`recommend_edges_batch`.
         """
         result = self.recommend_edges_batch([(node, top_n, exclude)])[0]
         if isinstance(result, Exception):
@@ -193,15 +194,22 @@ class QueryEngine:
         self,
         queries: list[tuple[int, int, np.ndarray | None]],
     ) -> list[list[tuple[int, float]] | Exception]:
-        """Coalesced edge recommendation: ONE kernel call per batch.
+        """Coalesced edge recommendation without gathering ``pi`` rows.
 
-        ``queries`` holds ``(node, top_n, exclude)`` triples. All
-        candidate (src, dst) row pairs across the batch are concatenated
-        and scored with a single ``link_probability`` invocation (chunked
-        only past :attr:`MAX_PAIRS_PER_CALL` pairs), then split back per
-        query. Per-query failures (unknown node, bad ``top_n``) are
-        returned as exception objects in their slot rather than raised,
-        so one bad request cannot poison its batch-mates.
+        ``queries`` holds ``(node, top_n, exclude)`` triples. Each query
+        scores its row against every row of ``art.pi`` with broadcast
+        ``link_probability`` calls: the query row is a zero-stride view
+        and the other side is a slice of the artifact array itself, one
+        call per ``_SCORE_BLOCK_BYTES`` of rows (one call per query up to
+        N·K·itemsize = 1 MiB). Scores land in one provider-allocated
+        (queries, N) buffer of the artifact's dtype, so a float32 artifact
+        ranks float32 scores under every backend; each query then ranks
+        its candidates (every row but the node and its ``exclude`` ids).
+        Rows are scored independently, so this is bit-identical to
+        per-pair scoring over gathered rows. Per-query failures (unknown
+        node, bad ``top_n``) are returned as exception objects in their
+        slot rather than raised, so one bad request cannot poison its
+        batch-mates.
         """
         self._fault_delay()
         art = self.artifact
@@ -222,36 +230,25 @@ class QueryEngine:
         if not prepared:
             return results
 
-        src = np.concatenate(
-            [np.full(cand.size, row, dtype=np.int64) for _, row, _, cand in prepared]
-        )
-        dst = np.concatenate([cand for _, _, _, cand in prepared])
-        scores = self._score_row_pairs(src, dst)
-
-        offset = 0
-        for i, _, top_n, cand in prepared:
-            p = scores[offset : offset + cand.size]
-            offset += cand.size
+        scores = self.provider.allocate((len(prepared), art.n_nodes), art.pi.dtype)
+        block = max(1, _SCORE_BLOCK_BYTES // (art.n_communities * art.pi.itemsize))
+        for (i, row, top_n, cand), full in zip(prepared, scores):
             n = min(top_n, cand.size)
             if n == 0:
                 results[i] = []
                 continue
+            query = art.pi[row]
+            for lo in range(0, art.n_nodes, block):
+                hi = min(lo + block, art.n_nodes)
+                full[lo:hi] = self.kernels.link_probability(
+                    np.broadcast_to(query, (hi - lo, art.n_communities)),
+                    art.pi[lo:hi],
+                    art.beta,
+                    art.config.delta,
+                    workspace=self.workspace,
+                )
+            p = full[cand]
             idx = np.argpartition(-p, n - 1)[:n]
             idx = idx[np.argsort(-p[idx], kind="stable")]
             results[i] = [(int(art.node_ids[cand[j]]), float(p[j])) for j in idx]
         return results
-
-    def _score_row_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Score internal row pairs; single kernel call under the cap."""
-        art = self.artifact
-        out = self.provider.allocate(src.size, art.pi.dtype)
-        for lo in range(0, src.size, self.MAX_PAIRS_PER_CALL):
-            hi = min(lo + self.MAX_PAIRS_PER_CALL, src.size)
-            out[lo:hi] = self.kernels.link_probability(
-                art.pi[src[lo:hi]],
-                art.pi[dst[lo:hi]],
-                art.beta,
-                art.config.delta,
-                workspace=self.workspace,
-            )
-        return out

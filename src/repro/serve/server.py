@@ -886,9 +886,9 @@ class ModelServer:
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 for r in links:
                     self._fail(r, exc)
-        # Recommendations coalesce the same way: every candidate pair in
-        # the batch goes through ONE link_probability kernel call; the
-        # engine returns per-slot exceptions so bad requests fail alone.
+        # Recommendations go through one engine call per batch
+        # (broadcast kernel calls per request, no row gather); the engine
+        # returns per-slot exceptions so bad requests fail alone.
         recs = [r for r in batch if r.endpoint == "recommend_edges"]
         if recs:
             try:

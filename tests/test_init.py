@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import AMMSBConfig, StepSizeConfig
+from repro.core import init as init_module
 from repro.core.init import (
     extend_state_informed,
     init_state_informed,
@@ -17,6 +18,86 @@ from repro.core.sampler import AMMSBSampler
 from repro.core.state import init_state
 from repro.graph.graph import Graph
 from repro.graph.split import split_heldout
+
+
+# -- oracles: the scatter/loop formulations the sparse products replaced -----
+
+
+class _ScatterAdjacency:
+    """``A @ x`` as one ``np.add.at`` scatter over a (2|E|, k) gather."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.rows = np.repeat(
+            np.arange(graph.n_vertices, dtype=np.int64),
+            np.diff(graph._csr_indptr),
+        )
+
+    def __matmul__(self, x):
+        out = np.zeros_like(x)
+        np.add.at(out, self.rows, x[self.graph._csr_indices])
+        return out
+
+
+def _informed_pi_oracle(graph, config, rng, smoothing_rounds=15, damping=0.95):
+    """``init_state_informed``'s pi with per-vertex label-propagation loops."""
+    n, k = graph.n_vertices, config.n_communities
+    order = np.argsort(-(graph.degrees.astype(np.float64) + rng.random(n) * 1e-6))
+    chosen, banned = [], set()
+    for v in order:
+        if len(chosen) >= min(k, n):
+            break
+        if int(v) in banned:
+            continue
+        chosen.append(int(v))
+        banned.add(int(v))
+        for u in graph.neighbors(int(v)):
+            banned.add(int(u))
+            banned.update(int(w) for w in graph.neighbors(int(u)))
+    if len(chosen) < min(k, n):
+        rest = [v for v in range(n) if v not in set(chosen)]
+        chosen.extend(rest[: min(k, n) - len(chosen)])
+    seeds = np.array(chosen, dtype=np.int64)
+    onehot = np.full((seeds.size, k), 1e-3)
+    onehot[np.arange(seeds.size), np.arange(seeds.size) % k] = 1.0
+    onehot /= onehot.sum(axis=1, keepdims=True)
+    pi = np.full((n, k), 1.0 / k)
+    pi[seeds] = onehot
+    for _ in range(smoothing_rounds):
+        nbr_avg = np.empty_like(pi)
+        for v in range(n):
+            nbrs = graph.neighbors(v)
+            nbr_avg[v] = pi[nbrs].mean(axis=0) if nbrs.size else pi[v]
+        pi = (1.0 - damping) * pi + damping * nbr_avg
+        pi[seeds] = onehot
+        pi /= pi.sum(axis=1, keepdims=True)
+    pi = pi**2 + config.effective_alpha / k
+    return pi / pi.sum(axis=1, keepdims=True)
+
+
+def _with_isolated(graph, extra=5):
+    """``graph`` plus ``extra`` trailing vertices that have no edges."""
+    return Graph(graph.n_vertices + extra, graph.edges)
+
+
+class TestSparseProductsMatchOracles:
+    """The sparse adjacency products are bit-identical to the formulations
+    they replaced, on a planted graph and on one with isolated vertices."""
+
+    @pytest.mark.parametrize("isolated", [0, 5])
+    def test_spectral_matches_scatter(self, planted, isolated, monkeypatch):
+        graph = _with_isolated(planted[0], isolated)
+        got = spectral_memberships(graph, 4, rng=np.random.default_rng(7))
+        monkeypatch.setattr(init_module, "_adjacency", _ScatterAdjacency)
+        expect = spectral_memberships(graph, 4, rng=np.random.default_rng(7))
+        np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("isolated", [0, 5])
+    def test_informed_matches_loop(self, planted, config, isolated):
+        graph = _with_isolated(planted[0], isolated)
+        state = init_state_informed(graph, config, np.random.default_rng(3))
+        expect = _informed_pi_oracle(graph, config, np.random.default_rng(3))
+        np.testing.assert_array_equal(state.pi, expect)
 
 
 class TestInformedInit:

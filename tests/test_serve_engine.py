@@ -10,15 +10,19 @@ reference).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AMMSBConfig
+from repro.core import kernels
 from repro.core.perplexity import link_probability
 from repro.core.state import init_state
 from repro.serve.artifact import build_artifact
+from repro.serve import engine as engine_module
 from repro.serve.engine import QueryEngine
 
 
@@ -154,7 +158,7 @@ class TestRecommendEdges:
 
 
 class TestRecommendEdgesBatch:
-    """Server-side coalescing: one kernel call per batch of queries."""
+    """Server-side coalescing: broadcast kernel calls per query, no gather."""
 
     def test_batch_equals_individual_calls(self):
         art = _artifact(25, 5, 13)
@@ -164,15 +168,15 @@ class TestRecommendEdgesBatch:
         for (node, top_n, exclude), got in zip(queries, batched):
             assert got == engine.recommend_edges(node, top_n, exclude=exclude)
 
-    def test_single_kernel_call_per_batch(self):
-        art = _artifact(20, 4, 1)
-        engine = QueryEngine(art)
+    @staticmethod
+    def _record_kernel_calls(engine):
+        """Wrap the engine's ``link_probability`` to log its arguments."""
         calls = []
         original = engine.kernels.link_probability
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
+        def recording(pi_a, pi_b, *args, **kwargs):
+            calls.append((pi_a, pi_b))
+            return original(pi_a, pi_b, *args, **kwargs)
 
         engine.kernels = type(engine.kernels)(
             engine.kernels.name,
@@ -180,19 +184,97 @@ class TestRecommendEdgesBatch:
             update_phi=engine.kernels.update_phi,
             theta_gradient_weighted=engine.kernels.theta_gradient_weighted,
             update_theta=engine.kernels.update_theta,
-            link_probability=counting,
+            link_probability=recording,
         )
-        engine.recommend_edges_batch([(0, 3, None), (5, 3, None), (7, 2, None)])
-        assert len(calls) == 1
-        assert calls[0] == 3 * (art.n_nodes - 1)
+        return calls
 
-    def test_chunking_past_cap_is_equivalent(self):
-        art = _artifact(30, 4, 2)
+    def test_one_broadcast_kernel_call_per_query(self):
+        """Each query is one kernel call of its zero-stride row against
+        ``art.pi`` itself: no (N, K) gather on either side."""
+        art = _artifact(20, 4, 1)
         engine = QueryEngine(art)
-        whole = engine.recommend_edges_batch([(1, 5, None), (2, 5, None)])
-        engine.MAX_PAIRS_PER_CALL = 17  # force many tiny kernel calls
-        chunked = engine.recommend_edges_batch([(1, 5, None), (2, 5, None)])
-        assert whole == chunked
+        calls = self._record_kernel_calls(engine)
+        engine.recommend_edges_batch([(0, 3, None), (5, 3, None), (7, 2, None)])
+        assert len(calls) == 3
+        for (pi_a, pi_b), row in zip(calls, (0, 5, 7)):
+            assert pi_a.shape == pi_b.shape == art.pi.shape
+            assert pi_a.strides[0] == 0
+            np.testing.assert_array_equal(pi_a[0], art.pi[row])
+            assert np.shares_memory(pi_b, art.pi)
+
+    def test_row_blocks_are_equivalent(self, monkeypatch):
+        """Past ``_SCORE_BLOCK_BYTES`` a query's kernel calls walk
+        ``art.pi`` in row blocks; the answers do not change."""
+        art = _artifact(20, 4, 1)
+        engine = QueryEngine(art)
+        queries = [(0, 3, None), (5, 3, np.array([1, 2])), (7, 2, None)]
+        whole = engine.recommend_edges_batch(queries)
+        calls = self._record_kernel_calls(engine)
+        # 7-row blocks: rows 0-6, 7-13, 14-19 for each query.
+        monkeypatch.setattr(engine_module, "_SCORE_BLOCK_BYTES", 7 * art.pi[0].nbytes)
+        assert engine.recommend_edges_batch(queries) == whole
+        assert [len(pi_b) for _, pi_b in calls] == [7, 7, 6] * 3
+        for pi_a, pi_b in calls:
+            assert pi_a.strides[0] == 0 and np.shares_memory(pi_b, art.pi)
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_matches_per_pair_oracle(self, dtype, backend, block_rows, monkeypatch):
+        """Every slot is the top-n of per-pair ``link_probability`` over
+        the gathered candidate rows, cast to the artifact's dtype."""
+        art = _artifact(40, 6, 21, dtype=dtype)
+        if block_rows is not None:
+            monkeypatch.setattr(
+                engine_module, "_SCORE_BLOCK_BYTES", block_rows * art.pi[0].nbytes
+            )
+        # Rows 30..39 duplicate row 5, so queries from node 5 see exact ties.
+        art.pi[30:] = art.pi[5]
+        engine = QueryEngine(art, backend=backend)
+        queries = [
+            (5, 15, None),
+            (11, 6, np.array([0, 3, 30, 31])),
+            (2, 100, None),  # top_n past the candidate count
+            (7, 3, np.delete(np.arange(40), 7)),  # everything excluded
+            (999, 3, None),  # unknown node
+            (5, 4, np.array([31, 32])),
+        ]
+        got = engine.recommend_edges_batch(queries)
+        tie_scores = [score for _, score in got[0]]
+        assert len(set(tie_scores)) < len(tie_scores)  # ties reach the top-n
+        assert isinstance(got[4], KeyError)
+        for (node, top_n, exclude), slot in zip(queries, got):
+            if node == 999:
+                continue
+            skip = {node} | set(() if exclude is None else exclude.tolist())
+            cand = np.array([v for v in range(40) if v not in skip], dtype=np.int64)
+            if cand.size == 0:
+                assert slot == []
+                continue
+            p = kernels.get_backend(backend).link_probability(
+                art.pi[np.full(cand.size, node)], art.pi[cand],
+                art.beta, art.config.delta,
+            ).astype(art.pi.dtype)
+            n = min(top_n, cand.size)
+            idx = np.argpartition(-p, n - 1)[:n]
+            idx = idx[np.argsort(-p[idx], kind="stable")]
+            assert slot == [(int(cand[j]), float(p[j])) for j in idx]
+
+    def test_transient_memory_below_one_pi_copy(self):
+        """A steady-state 4-query batch allocates far less than one
+        N x K array: the scorer gathers scores, never pi rows."""
+        art = _artifact(8000, 32, 4)
+        engine = QueryEngine(art, backend="fused", provider="resident")
+        queries = [(v, 10, np.arange(v, v + 20)) for v in (1, 500, 4000, 7000)]
+        expect = engine.recommend_edges_batch(queries)  # sizes the workspace
+        tracemalloc.start()
+        try:
+            got = engine.recommend_edges_batch(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expect
+        assert peak < art.pi.nbytes
 
     def test_per_slot_fault_isolation(self):
         art = _artifact(15, 4, 3)
